@@ -9,6 +9,7 @@ package features
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"ddoshield/internal/packet"
@@ -101,14 +102,16 @@ type Stats struct {
 // window counts as short-lived.
 const shortFlowPackets = 3
 
-// statsScratch holds the histogram maps ComputeStats needs. An Extractor
-// keeps one and clears it per window, so steady-state window closes reuse
-// the map storage instead of reallocating four maps per second of capture.
+// statsScratch holds the histogram maps ComputeStats needs, and the slice
+// entropy sorts a histogram's counts in. An Extractor keeps one and clears
+// it per window, so steady-state window closes reuse the storage instead of
+// reallocating four maps per second of capture.
 type statsScratch struct {
 	dstPorts   map[uint16]int
 	srcs       map[packet.Addr]int
 	flows      map[packet.FlowKey]int
 	synTriples map[packet.FlowKey]int
+	counts     []int
 }
 
 func (sc *statsScratch) reset() {
@@ -177,8 +180,8 @@ func (sc *statsScratch) compute(pkts []Basic) Stats {
 		}
 	}
 	st.MeanPacketLen = float64(st.ByteCount) / float64(len(pkts))
-	st.DstPortEntropy = entropy(dstPorts, len(pkts))
-	st.SrcAddrEntropy = entropy(srcs, len(pkts))
+	st.DstPortEntropy, sc.counts = entropy(dstPorts, len(pkts), sc.counts)
+	st.SrcAddrEntropy, sc.counts = entropy(srcs, len(pkts), sc.counts)
 	st.UniqueDstPorts = len(dstPorts)
 	st.UniqueSrcs = len(srcs)
 	st.SynNoAckRatio = float64(st.SynCount) / float64(st.SynAckCount+1)
@@ -204,20 +207,32 @@ func (sc *statsScratch) compute(pkts []Basic) Stats {
 	return st
 }
 
-// entropy computes Shannon entropy in bits over a count histogram.
-func entropy[K comparable](hist map[K]int, total int) float64 {
+// entropy computes Shannon entropy in bits over a count histogram. The
+// terms are summed in ascending count order, collected in counts (returned
+// for reuse), so the result does not depend on map iteration order: a
+// window's features, and every model trained on them, repeat bit for bit.
+func entropy[K comparable](hist map[K]int, total int, counts []int) (float64, []int) {
 	if total == 0 {
-		return 0
+		return 0, counts
 	}
-	var h float64
+	counts = counts[:0]
 	for _, n := range hist {
-		if n == 0 {
-			continue
+		if n > 0 {
+			counts = append(counts, n)
 		}
-		p := float64(n) / float64(total)
-		h -= p * math.Log2(p)
 	}
-	return h
+	slices.Sort(counts)
+	var h, term float64
+	prev := 0
+	for _, n := range counts {
+		if n != prev { // equal counts give equal terms
+			p := float64(n) / float64(total)
+			term = p * math.Log2(p)
+			prev = n
+		}
+		h -= term
+	}
+	return h, counts
 }
 
 // Feature vector layout: basic features first, then the statistical block

@@ -139,16 +139,51 @@ func TestStatsUDPFloodSignature(t *testing.T) {
 
 func TestEntropyKnownValues(t *testing.T) {
 	// Uniform over 4 symbols: 2 bits.
-	h := entropy(map[int]int{1: 5, 2: 5, 3: 5, 4: 5}, 20)
+	h, _ := entropy(map[int]int{1: 5, 2: 5, 3: 5, 4: 5}, 20, nil)
 	if math.Abs(h-2) > 1e-12 {
 		t.Fatalf("entropy = %v, want 2", h)
 	}
 	// Single symbol: 0 bits.
-	if got := entropy(map[int]int{1: 9}, 9); got != 0 {
+	if got, _ := entropy(map[int]int{1: 9}, 9, nil); got != 0 {
 		t.Fatalf("entropy = %v, want 0", got)
 	}
-	if got := entropy(map[int]int{}, 0); got != 0 {
+	if got, _ := entropy(map[int]int{}, 0, nil); got != 0 {
 		t.Fatalf("empty entropy = %v", got)
+	}
+}
+
+// TestStatsBitReproducible recomputes one busy window's statistics many
+// times: every float feature must repeat bit for bit. The entropies are
+// the ones at risk, since they sum over Go maps whose iteration order
+// changes from call to call.
+func TestStatsBitReproducible(t *testing.T) {
+	rng := sim.NewRNG(11)
+	pkts := make([]Basic, 0, 3000)
+	for i := 0; i < 3000; i++ {
+		pkts = append(pkts, Basic{
+			Time:    sim.Time(i) * 300 * sim.Microsecond,
+			Src:     packet.AddrFrom4(10, 0, byte(rng.Intn(8)), byte(rng.Intn(250))),
+			Dst:     packet.AddrFrom4(10, 0, 1, 1),
+			Proto:   packet.ProtoTCP,
+			SrcPort: uint16(1024 + rng.Intn(60000)),
+			DstPort: uint16(rng.Intn(700)),
+			Length:  60 + rng.Intn(1400),
+			Flags:   packet.FlagSYN,
+			Seq:     rng.Uint32(),
+		})
+	}
+	bits := func(st Stats) [6]uint64 {
+		return [6]uint64{
+			math.Float64bits(st.DstPortEntropy), math.Float64bits(st.SrcAddrEntropy),
+			math.Float64bits(st.MeanPacketLen), math.Float64bits(st.SeqStd),
+			math.Float64bits(st.SynNoAckRatio), math.Float64bits(st.MeanInterarrival),
+		}
+	}
+	want := bits(ComputeStats(pkts))
+	for i := 0; i < 50; i++ {
+		if got := bits(ComputeStats(pkts)); got != want {
+			t.Fatalf("call %d: feature bits %x, first call %x", i, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,11 @@
 package forest
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"testing"
 
 	"ddoshield/internal/ml/mltest"
@@ -39,25 +44,72 @@ func TestForestRejectsBadInput(t *testing.T) {
 	}
 }
 
+// nodeDigest hashes every node of every tree, field by field.
+func nodeDigest(f *Forest) string {
+	h := sha256.New()
+	for _, t := range f.TreeList {
+		for _, n := range t.Nodes {
+			binary.Write(h, binary.LittleEndian, []uint64{
+				uint64(uint32(n.Feature)), math.Float64bits(n.Threshold),
+				uint64(uint32(n.Left)), uint64(uint32(n.Right)), uint64(uint32(n.Class)),
+			})
+		}
+		h.Write([]byte{0xff})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// tiedBlobs is Blobs with every value rounded to a quarter, so most
+// features carry many tied values: splits must land only on value
+// boundaries, whatever order a sort leaves the ties in.
+func tiedBlobs(n, d int, seed int64) ([][]float64, []int) {
+	xs, ys := mltest.Blobs(n, d, 1, seed)
+	for _, x := range xs {
+		for j := range x {
+			x[j] = math.Round(x[j]*4) / 4
+		}
+	}
+	return xs, ys
+}
+
+// TestForestDeterministic pins every node of a forest trained on tied
+// values, at the paper pipeline's settings (deep trees, leaves of one) and
+// at the defaults. A faster trainer must grow exactly these trees. The
+// digests are amd64's: an architecture that fuses the Gini multiply-adds
+// may break near-ties differently, so there only two runs are compared.
 func TestForestDeterministic(t *testing.T) {
-	xs, ys := mltest.Blobs(200, 4, 2, 5)
-	f1, err := Train(Config{Trees: 5, Seed: 9}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
+	xs, ys := tiedBlobs(1500, 16, 5)
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"pipeline", Config{Trees: 8, MaxDepth: 18, MinSamplesLeaf: 1, Seed: 9},
+			"5e5376d4b23063f82530e5781a6a7624ffe0ed4f311c2d1630e4266dbc18cc6b"},
+		{"defaults", Config{Trees: 5, Seed: 10},
+			"eec9870a1b5aa874e061ec20fe24d2b37a19c02c7c66a70316a8c4febdbb5fd8"},
 	}
-	f2, err := Train(Config{Trees: 5, Seed: 9}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1.NumNodes() != f2.NumNodes() {
-		t.Fatal("same-seed forests differ")
-	}
-	probe := make([]float64, 4)
-	for i := 0; i < 4; i++ {
-		probe[i] = 0.3
-	}
-	if f1.Predict(probe) != f2.Predict(probe) {
-		t.Fatal("same-seed predictions differ")
+	for _, tc := range cases {
+		f1, err := Train(tc.cfg, xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f2, err := Train(tc.cfg, xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := nodeDigest(f1)
+		if again := nodeDigest(f2); again != got {
+			t.Fatalf("%s: same-seed forests differ", tc.name)
+		}
+		if runtime.GOARCH == "amd64" && got != tc.want {
+			t.Errorf("%s: node digest %s, want %s", tc.name, got, tc.want)
+		}
+		for i := 0; i < 50; i++ {
+			if f1.Predict(xs[i]) != f2.Predict(xs[i]) {
+				t.Fatalf("%s: same-seed predictions differ", tc.name)
+			}
+		}
 	}
 }
 
