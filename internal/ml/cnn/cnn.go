@@ -164,90 +164,162 @@ func (n *Network) MemoryBytes() int64 {
 	return params + acts*InferenceBatch + 256
 }
 
-// activations holds one forward pass (retained for backprop).
+// activations holds one forward pass (retained for backprop). Each conv
+// block is stored after its ReLU and max-pool, channel-major and flat; a
+// pooled value is the ReLU output at its argmax position, which is all the
+// backward pass needs of the conv outputs.
 type activations struct {
 	in    []float64
-	conv1 [][]float64 // [f1][len1] post-ReLU
-	pool1 [][]float64 // [f1][pool1]
-	arg1  [][]int     // argmax indices for pool1
-	conv2 [][]float64 // [f2][len2] post-ReLU
-	pool2 [][]float64 // [f2][pool2]
-	arg2  [][]int
-	flat  []float64
+	pool1 []float64 // [f1][pool1]
+	arg1  []int32   // conv1 position each pool1 value came from
+	col   []float64 // [2*pool2][f1*kernel]: conv2's input windows
+	flat  []float64 // [f2][pool2]: pooled conv2, the dense input
+	arg2  []int32   // conv2 position each flat value came from
 	hid   []float64 // post-ReLU
 	out   []float64 // logits
 	prob  []float64 // softmax
 }
 
-func relu(v float64) float64 {
-	if v > 0 {
-		return v
+func relu(v float64) float64 { return math.Float64frombits(reluBits(v)) }
+
+// reluBits is relu on the IEEE-754 bits of v: positive values up to +Inf
+// pass, and zeros, negatives and NaNs become +0. Non-negative doubles order
+// as their bits do, so pool can compare and select them in integer
+// registers, without the branches that random signs mispredict.
+func reluBits(v float64) uint64 {
+	u := math.Float64bits(v)
+	if u-1 >= 0x7ff0000000000000 { // u == 0, or above +Inf's bits
+		u = 0
 	}
-	return 0
+	return u
 }
 
+// pool returns the width-2 max-pool of the post-ReLU outputs at positions
+// j and j+1, and the position it came from (the first on ties).
+func pool(s0, s1 float64, j int) (float64, int32) {
+	v0, v1 := reluBits(s0), reluBits(s1)
+	at := int32(j)
+	if v1 > v0 {
+		v0, at = v1, at+1
+	}
+	return math.Float64frombits(v0), at
+}
+
+// forward runs one inference into a. Every output keeps its own
+// accumulator, seeded with its bias and fed its terms in ascending weight
+// order; the blocked loops only interleave independent outputs, so the
+// result is bit-identical to one output at a time. Conv outputs are
+// computed in pooled pairs with ReLU and max-pool fused in; an odd conv
+// length's last position feeds no pool and is skipped.
 func (n *Network) forward(x []float64, a *activations) {
 	c := n.Cfg
+	K, f1, f2 := c.Kernel, c.Conv1Filters, c.Conv2Filters
 	a.in = x
-	// conv1: single input channel.
-	a.conv1 = grow2(a.conv1, c.Conv1Filters, n.len1)
-	for f := 0; f < c.Conv1Filters; f++ {
-		w := n.W1[f]
-		for i := 0; i < n.len1; i++ {
-			s := n.B1[f]
-			for k := 0; k < c.Kernel; k++ {
-				s += w[k] * x[i+k]
+	// conv1 over the single input channel.
+	a.pool1 = grow(a.pool1, f1*n.pool1)
+	a.arg1 = grow(a.arg1, f1*n.pool1)
+	for f := 0; f < f1; f++ {
+		w := n.W1[f][:K]
+		b := n.B1[f]
+		out := a.pool1[f*n.pool1 : (f+1)*n.pool1]
+		arg := a.arg1[f*n.pool1 : (f+1)*n.pool1]
+		arg = arg[:len(out)]
+		for p := range out {
+			j := 2 * p
+			x0 := x[j : j+len(w)]
+			x1 := x[j+1 : j+1+len(w)]
+			s0, s1 := b, b
+			for k, wk := range w {
+				s0 += wk * x0[k]
+				s1 += wk * x1[k]
 			}
-			a.conv1[f][i] = relu(s)
+			out[p], arg[p] = pool(s0, s1, j)
 		}
 	}
-	a.pool1, a.arg1 = maxpool(a.conv1, a.pool1, a.arg1, n.pool1)
-	// conv2: over f1 channels.
-	a.conv2 = grow2(a.conv2, c.Conv2Filters, n.len2)
-	for f := 0; f < c.Conv2Filters; f++ {
-		w := n.W2[f]
-		for i := 0; i < n.len2; i++ {
-			s := n.B2[f]
-			wi := 0
-			for ch := 0; ch < c.Conv1Filters; ch++ {
-				row := a.pool1[ch]
-				for k := 0; k < c.Kernel; k++ {
-					s += w[wi] * row[i+k]
-					wi++
-				}
+	// conv2 over f1 channels: gather each position's window (channel-major,
+	// kernel-minor, the W2 row layout), then one dot product per output.
+	ck := f1 * K
+	used := 2 * n.pool2
+	a.col = grow(a.col, used*ck)
+	for ch := 0; ch < f1; ch++ {
+		row := a.pool1[ch*n.pool1 : (ch+1)*n.pool1]
+		for j := 0; j < used; j++ {
+			dst := a.col[j*ck+ch*K:][:K]
+			for k, v := range row[j:][:len(dst)] {
+				dst[k] = v
 			}
-			a.conv2[f][i] = relu(s)
 		}
 	}
-	a.pool2, a.arg2 = maxpool(a.conv2, a.pool2, a.arg2, n.pool2)
-	// flatten.
-	if cap(a.flat) < n.flat {
-		a.flat = make([]float64, n.flat)
-	}
-	a.flat = a.flat[:n.flat]
-	fi := 0
-	for f := 0; f < c.Conv2Filters; f++ {
-		for i := 0; i < n.pool2; i++ {
-			a.flat[fi] = a.pool2[f][i]
-			fi++
+	a.flat = grow(a.flat, n.flat)
+	a.arg2 = grow(a.arg2, n.flat)
+	f := 0
+	for ; f+2 <= f2; f += 2 { // two filters × the two positions of a pool
+		w0, w1 := n.W2[f][:ck], n.W2[f+1][:ck]
+		for p := 0; p < n.pool2; p++ {
+			j := 2 * p
+			c0 := a.col[j*ck : (j+1)*ck]
+			c1 := a.col[(j+1)*ck : (j+2)*ck]
+			c1, w0, w1 := c1[:len(c0)], w0[:len(c0)], w1[:len(c0)]
+			s00, s10 := n.B2[f], n.B2[f+1]
+			s01, s11 := s00, s10
+			for i, x0 := range c0 {
+				x1 := c1[i]
+				s00 += w0[i] * x0
+				s01 += w0[i] * x1
+				s10 += w1[i] * x0
+				s11 += w1[i] * x1
+			}
+			o := f*n.pool2 + p
+			a.flat[o], a.arg2[o] = pool(s00, s01, j)
+			o += n.pool2
+			a.flat[o], a.arg2[o] = pool(s10, s11, j)
 		}
 	}
-	// dense + ReLU.
-	a.hid = growv(a.hid, c.Hidden)
-	for h := 0; h < c.Hidden; h++ {
+	if f < f2 { // odd filter count: the last filter alone
+		w := n.W2[f][:ck]
+		for p := 0; p < n.pool2; p++ {
+			j := 2 * p
+			c0 := a.col[j*ck : (j+1)*ck]
+			c1 := a.col[(j+1)*ck : (j+2)*ck]
+			c1, w := c1[:len(c0)], w[:len(c0)]
+			s0, s1 := n.B2[f], n.B2[f]
+			for i, x0 := range c0 {
+				s0 += w[i] * x0
+				s1 += w[i] * c1[i]
+			}
+			o := f*n.pool2 + p
+			a.flat[o], a.arg2[o] = pool(s0, s1, j)
+		}
+	}
+	// dense + ReLU, four hidden units per pass.
+	a.hid = grow(a.hid, c.Hidden)
+	flat := a.flat
+	h := 0
+	for ; h+4 <= c.Hidden; h += 4 {
+		w0, w1, w2, w3 := n.W3[h][:len(flat)], n.W3[h+1][:len(flat)], n.W3[h+2][:len(flat)], n.W3[h+3][:len(flat)]
+		s0, s1, s2, s3 := n.B3[h], n.B3[h+1], n.B3[h+2], n.B3[h+3]
+		for j, v := range flat {
+			s0 += w0[j] * v
+			s1 += w1[j] * v
+			s2 += w2[j] * v
+			s3 += w3[j] * v
+		}
+		a.hid[h], a.hid[h+1], a.hid[h+2], a.hid[h+3] = relu(s0), relu(s1), relu(s2), relu(s3)
+	}
+	for ; h < c.Hidden; h++ {
+		w := n.W3[h][:len(flat)]
 		s := n.B3[h]
-		w := n.W3[h]
-		for j, v := range a.flat {
+		for j, v := range flat {
 			s += w[j] * v
 		}
 		a.hid[h] = relu(s)
 	}
 	// output + softmax.
-	a.out = growv(a.out, c.Classes)
+	a.out = grow(a.out, c.Classes)
 	maxLogit := math.Inf(-1)
-	for o := 0; o < c.Classes; o++ {
+	for o := range a.out {
+		w := n.W4[o][:len(a.hid)]
 		s := n.B4[o]
-		w := n.W4[o]
 		for h, v := range a.hid {
 			s += w[h] * v
 		}
@@ -256,7 +328,7 @@ func (n *Network) forward(x []float64, a *activations) {
 			maxLogit = s
 		}
 	}
-	a.prob = growv(a.prob, c.Classes)
+	a.prob = grow(a.prob, c.Classes)
 	var z float64
 	for o, s := range a.out {
 		e := math.Exp(s - maxLogit)
@@ -268,55 +340,12 @@ func (n *Network) forward(x []float64, a *activations) {
 	}
 }
 
-func grow2(m [][]float64, rows, cols int) [][]float64 {
-	if len(m) != rows {
-		m = make([][]float64, rows)
-	}
-	for i := range m {
-		if cap(m[i]) < cols {
-			m[i] = make([]float64, cols)
-		}
-		m[i] = m[i][:cols]
-	}
-	return m
-}
-
-func grow2i(m [][]int, rows, cols int) [][]int {
-	if len(m) != rows {
-		m = make([][]int, rows)
-	}
-	for i := range m {
-		if cap(m[i]) < cols {
-			m[i] = make([]int, cols)
-		}
-		m[i] = m[i][:cols]
-	}
-	return m
-}
-
-func growv(v []float64, n int) []float64 {
+// grow returns v resized to n, reallocating only when it lacks capacity.
+func grow[T any](v []T, n int) []T {
 	if cap(v) < n {
-		v = make([]float64, n)
+		v = make([]T, n)
 	}
 	return v[:n]
-}
-
-// maxpool performs width-2 max pooling per channel, recording argmaxes.
-func maxpool(in, out [][]float64, arg [][]int, outLen int) ([][]float64, [][]int) {
-	out = grow2(out, len(in), outLen)
-	arg = grow2i(arg, len(in), outLen)
-	for ch := range in {
-		for i := 0; i < outLen; i++ {
-			j := 2 * i
-			v, a := in[ch][j], j
-			if j+1 < len(in[ch]) && in[ch][j+1] > v {
-				v, a = in[ch][j+1], j+1
-			}
-			out[ch][i] = v
-			arg[ch][i] = a
-		}
-	}
-	return out, arg
 }
 
 // actPool recycles inference activation buffers. Predict pulls a buffer per

@@ -6,7 +6,7 @@ package forest
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ddoshield/internal/sim"
 )
@@ -108,9 +108,15 @@ type Forest struct {
 // Name implements ml.Classifier.
 func (f *Forest) Name() string { return "rf" }
 
-// Predict returns the majority vote over the ensemble.
+// Predict returns the majority vote over the ensemble (the lowest class
+// on ties).
 func (f *Forest) Predict(x []float64) int {
-	votes := make([]int, f.Cfg.Classes)
+	var stack [8]int
+	votes := stack[:0]
+	if f.Cfg.Classes > len(stack) {
+		votes = make([]int, 0, f.Cfg.Classes)
+	}
+	votes = votes[:f.Cfg.Classes]
 	for _, t := range f.TreeList {
 		votes[t.Predict(x)]++
 	}
@@ -161,20 +167,47 @@ func Train(cfg Config, xs [][]float64, ys []int) (*Forest, error) {
 	}
 	f := &Forest{Cfg: cfg, Features: nf}
 	rng := sim.Substream(cfg.Seed, "forest")
+	b := &builder{
+		cfg: cfg, xs: xs, ys: ys, rng: rng, mtry: mtry, nf: nf,
+		pairs:  make([]pair, len(xs)),
+		spill:  make([]int, len(xs)),
+		counts: make([]int, cfg.Classes),
+		left:   make([]int, cfg.Classes),
+		right:  make([]int, cfg.Classes),
+	}
 	for i := 0; i < cfg.Trees; i++ {
 		idx := make([]int, len(xs))
 		for j := range idx {
 			idx[j] = rng.Intn(len(xs)) // bootstrap with replacement
 		}
-		b := &builder{
-			cfg: cfg, xs: xs, ys: ys, rng: rng, mtry: mtry, nf: nf,
-		}
+		b.nodes = nil
 		b.build(idx, 0) // root lands at node index 0
 		f.TreeList = append(f.TreeList, &Tree{Nodes: b.nodes})
 	}
 	return f, nil
 }
 
+// pair is one row's value of the feature under evaluation and its label.
+type pair struct {
+	v float64
+	y int
+}
+
+// byValue orders pairs by value. The split search reads only the label
+// counts at value boundaries, so the order a sort leaves ties in cannot
+// change the tree.
+func byValue(a, b pair) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
+// builder grows one tree at a time. Its buffers are sized for the whole
+// training set once and reused by every node of every tree.
 type builder struct {
 	cfg   Config
 	xs    [][]float64
@@ -183,14 +216,14 @@ type builder struct {
 	mtry  int
 	nf    int
 	nodes []Node
+
+	pairs               []pair
+	spill               []int // right-hand rows while a node partitions
+	counts, left, right []int
 }
 
-// majority returns the most common label among idx.
-func (b *builder) majority(idx []int) int32 {
-	counts := make([]int, b.cfg.Classes)
-	for _, i := range idx {
-		counts[b.ys[i]]++
-	}
+// majority returns the most common label in a class histogram.
+func majority(counts []int) int32 {
 	best, bestN := 0, -1
 	for c, n := range counts {
 		if n > bestN {
@@ -223,36 +256,30 @@ func pure(counts []int) bool {
 	return nz <= 1
 }
 
-// build grows the subtree over idx and returns its node index.
+// build grows the subtree over idx and returns its node index. It
+// reorders idx in place: left rows first, each side in its original order.
 func (b *builder) build(idx []int, depth int) int32 {
-	counts := make([]int, b.cfg.Classes)
+	counts := b.counts
+	clear(counts)
 	for _, i := range idx {
 		counts[b.ys[i]]++
 	}
-	leaf := func() int32 {
-		b.nodes = append(b.nodes, Node{Feature: -1, Class: b.majority(idx)})
-		return int32(len(b.nodes) - 1)
-	}
 	if depth >= b.cfg.MaxDepth || len(idx) < 2*b.cfg.MinSamplesLeaf || pure(counts) {
-		return leaf()
+		return b.leaf(counts)
 	}
 
 	// Pick mtry random features and find the best gini split.
 	parentGini := gini(counts, len(idx))
 	bestFeat, bestThr, bestGain := -1, 0.0, 1e-12
 	feats := b.rng.Perm(b.nf)[:b.mtry]
-	type pair struct {
-		v float64
-		y int
-	}
-	pairs := make([]pair, len(idx))
+	pairs := b.pairs[:len(idx)]
+	left, right := b.left, b.right
 	for _, feat := range feats {
 		for k, i := range idx {
 			pairs[k] = pair{v: b.xs[i][feat], y: b.ys[i]}
 		}
-		sort.Slice(pairs, func(a, c int) bool { return pairs[a].v < pairs[c].v })
-		left := make([]int, b.cfg.Classes)
-		right := make([]int, b.cfg.Classes)
+		slices.SortFunc(pairs, byValue)
+		clear(left)
 		copy(right, counts)
 		for k := 0; k < len(pairs)-1; k++ {
 			left[pairs[k].y]++
@@ -273,25 +300,36 @@ func (b *builder) build(idx []int, depth int) int32 {
 		}
 	}
 	if bestFeat < 0 {
-		return leaf()
+		return b.leaf(counts)
 	}
 
-	var li, ri []int
+	// Stable partition: left rows move up in place, right rows wait in
+	// spill and follow them.
+	nl, nr := 0, 0
 	for _, i := range idx {
 		if b.xs[i][bestFeat] <= bestThr {
-			li = append(li, i)
+			idx[nl] = i
+			nl++
 		} else {
-			ri = append(ri, i)
+			b.spill[nr] = i
+			nr++
 		}
 	}
-	if len(li) == 0 || len(ri) == 0 {
-		return leaf()
+	if nl == 0 || nr == 0 {
+		return b.leaf(counts)
 	}
+	copy(idx[nl:], b.spill[:nr])
 	self := int32(len(b.nodes))
 	b.nodes = append(b.nodes, Node{Feature: int32(bestFeat), Threshold: bestThr})
-	l := b.build(li, depth+1)
-	r := b.build(ri, depth+1)
+	l := b.build(idx[:nl], depth+1)
+	r := b.build(idx[nl:], depth+1)
 	b.nodes[self].Left = l
 	b.nodes[self].Right = r
 	return self
+}
+
+// leaf appends a leaf predicting the majority of counts.
+func (b *builder) leaf(counts []int) int32 {
+	b.nodes = append(b.nodes, Node{Feature: -1, Class: majority(counts)})
+	return int32(len(b.nodes) - 1)
 }
